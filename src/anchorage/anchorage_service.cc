@@ -574,8 +574,9 @@ AnchorageService::batchBarrier(BatchedPass &pass, size_t batch_bytes)
     DefragStats stats;
     if (pass.done_)
         return stats;
-    runtime_->barrier([&](const PinnedSet &pinned) {
-        Stopwatch watch;
+    // The pause is the whole stop — safepoint wait and pin
+    // unification included — the interval barrier_pause_ns records.
+    stats.measuredSec = runtime_->barrier([&](const PinnedSet &pinned) {
         // The world is stopped, so no registered thread holds a shard
         // lock; still take every lock (index order) so unregistered
         // allocator threads cannot race the move loop either.
@@ -584,15 +585,14 @@ AnchorageService::batchBarrier(BatchedPass &pass, size_t batch_bytes)
         for (auto &sh : shards_)
             locks.emplace_back(sh->mutex);
         moveBatchLocked(pass, pinned, batch_bytes, stats);
-        stats.measuredSec = watch.elapsedSec();
-        stats.modeledSec = config_.modelPauseFloor +
-                           static_cast<double>(stats.movedBytes) /
-                               config_.modelBandwidth;
-        stats.barriers = 1;
-        stats.maxBarrierBytes = stats.movedBytes;
-        stats.maxBarrierSec = stats.measuredSec;
-        stats.maxBarrierModeledSec = stats.modeledSec;
     });
+    stats.modeledSec = config_.modelPauseFloor +
+                       static_cast<double>(stats.movedBytes) /
+                           config_.modelBandwidth;
+    stats.barriers = 1;
+    stats.maxBarrierBytes = stats.movedBytes;
+    stats.maxBarrierSec = stats.measuredSec;
+    stats.maxBarrierModeledSec = stats.modeledSec;
     pass.totals_.accumulate(stats);
     return stats;
 }

@@ -211,7 +211,6 @@ class HandleTable
 
     /**
      * One past the highest ID ever allocated; IDs >= this are untouched.
-     * Barriers size their pinned-set bitmaps from this watermark.
      */
     uint32_t watermark() const;
 

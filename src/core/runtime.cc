@@ -1,5 +1,6 @@
 #include "core/runtime.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -24,14 +25,45 @@ std::atomic<uint64_t> Runtime::gCampaignEpoch{0};
 namespace
 {
 thread_local ThreadState *tlsState = nullptr;
+
+/**
+ * Count one allocation-API call: on the calling thread's own cell when
+ * it is registered (owner-written, so a plain load and store), else on
+ * the runtime-wide fallback.
+ */
+inline void
+countCall(std::atomic<uint64_t> ThreadState::*cell,
+          std::atomic<uint64_t> &fallback)
+{
+    if (ThreadState *ts = tlsState) {
+        std::atomic<uint64_t> &own = ts->*cell;
+        own.store(own.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+    } else {
+        fallback.fetch_add(1, std::memory_order_relaxed);
+    }
+}
 } // anonymous namespace
+
+PinnedSet::PinnedSet(const HandleTable &table,
+                     std::vector<uint32_t> frame_pins)
+    : table_(&table), framePins_(std::move(frame_pins))
+{
+    std::sort(framePins_.begin(), framePins_.end());
+    framePins_.erase(std::unique(framePins_.begin(), framePins_.end()),
+                     framePins_.end());
+}
 
 size_t
 PinnedSet::count() const
 {
-    size_t n = 0;
-    for (uint64_t word : bits_)
-        n += static_cast<size_t>(__builtin_popcountll(word));
+    size_t n = framePins_.size();
+    const uint32_t wm = table_->watermark();
+    for (uint32_t id = 0; id < wm; id++) {
+        if (table_->entry(id).atomicPinCount() > 0 &&
+            !std::binary_search(framePins_.begin(), framePins_.end(), id))
+            n++;
+    }
     return n;
 }
 
@@ -134,7 +166,7 @@ Runtime::halloc(size_t size)
     auto &e = table_.entry(id);
     e.size = static_cast<uint32_t>(size);
     e.ptr.store(backing, std::memory_order_release);
-    nHallocs_.fetch_add(1, std::memory_order_relaxed);
+    countCall(&ThreadState::hallocs, nHallocs_);
     telemetry::countHot(telemetry::Counter::Halloc);
     return reinterpret_cast<void *>(makeHandle(id, 0));
 }
@@ -142,7 +174,10 @@ Runtime::halloc(size_t size)
 void *
 Runtime::hcalloc(size_t count, size_t size)
 {
-    const size_t bytes = count * size;
+    size_t bytes;
+    if (__builtin_mul_overflow(count, size, &bytes))
+        fatal("hcalloc: %zu elements of %zu bytes overflow the size "
+              "range", count, size);
     void *h = halloc(bytes);
     auto &e = table_.entry(handleId(reinterpret_cast<uint64_t>(h)));
     std::memset(e.ptr.load(std::memory_order_relaxed), 0, bytes ? bytes : 1);
@@ -191,7 +226,7 @@ Runtime::hrealloc(void *handle, size_t size)
     e.size = static_cast<uint32_t>(size);
     e.ptr.store(new_ptr, std::memory_order_release);
     service().free(id, old_ptr);
-    nHreallocs_.fetch_add(1, std::memory_order_relaxed);
+    countCall(&ThreadState::hreallocs, nHreallocs_);
     return handle;
 }
 
@@ -220,7 +255,7 @@ Runtime::hfree(void *handle)
     void *ptr = e.ptr.exchange(nullptr, std::memory_order_acq_rel);
     service().free(id, reloc::unmarked(ptr));
     releaseHandleId(id);
-    nHfrees_.fetch_add(1, std::memory_order_relaxed);
+    countCall(&ThreadState::hfrees, nHfrees_);
     telemetry::countHot(telemetry::Counter::Hfree);
 }
 
@@ -277,6 +312,15 @@ Runtime::unregisterThread(ThreadState *state)
     }
     {
         std::lock_guard<std::mutex> guard(threadMutex_);
+        // Fold under the mutex stats() sums under, so a concurrent
+        // snapshot sees each call exactly once.
+        nHallocs_.fetch_add(state->hallocs.load(std::memory_order_relaxed),
+                            std::memory_order_relaxed);
+        nHfrees_.fetch_add(state->hfrees.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
+        nHreallocs_.fetch_add(
+            state->hreallocs.load(std::memory_order_relaxed),
+            std::memory_order_relaxed);
         for (auto it = threads_.begin(); it != threads_.end(); ++it) {
             if (it->get() == state) {
                 threads_.erase(it);
@@ -451,31 +495,25 @@ Runtime::leaveExternal()
 PinnedSet
 Runtime::unifyPinSets()
 {
-    PinnedSet pinned(table_.watermark());
+    // Only the frames are walked. Atomic pin counts are honored in
+    // every mode too (ConcurrentPin and scoped concurrent translation
+    // pin through the HTE state word, and a Hybrid-mode stop-the-world
+    // pass must not move objects those accessors still reference), but
+    // PinnedSet::contains() reads them from the candidate's entry.
+    std::vector<uint32_t> ids;
     for (const auto &thread : threads_) {
         for (const auto &frame : thread->frames) {
             for (uint32_t i = 0; i < frame.count; i++) {
                 const uint64_t v = frame.slots[i];
                 if (isHandle(v))
-                    pinned.add(handleId(v));
+                    ids.push_back(handleId(v));
             }
         }
     }
-    // Atomic pin counts are honored in every mode, not just the
-    // AtomicPins ablation: ConcurrentPin and scoped concurrent
-    // translation pin through the HTE state word, and a Hybrid-mode
-    // stop-the-world pass must not move objects those accessors still
-    // reference. The scan is one relaxed load per watermark entry,
-    // inside an already stopped world.
-    const uint32_t wm = table_.watermark();
-    for (uint32_t id = 0; id < wm; id++) {
-        if (table_.entry(id).atomicPinCount() > 0)
-            pinned.add(id);
-    }
-    return pinned;
+    return PinnedSet(table_, std::move(ids));
 }
 
-void
+double
 Runtime::barrier(const std::function<void(const PinnedSet &)> &fn)
 {
     // Serialize whole barriers against each other.
@@ -502,11 +540,13 @@ Runtime::barrier(const std::function<void(const PinnedSet &)> &fn)
     fn(pinned);
     nBarriers_.fetch_add(1, std::memory_order_relaxed);
     telemetry::count(telemetry::Counter::Barrier);
-    telemetry::record(telemetry::Hist::BarrierPauseNs, pause.elapsedNs());
+    const uint64_t pause_ns = pause.elapsedNs();
+    telemetry::record(telemetry::Hist::BarrierPauseNs, pause_ns);
 
     gBarrierPending.store(false, std::memory_order_seq_cst);
     lock.unlock();
     threadCv_.notify_all();
+    return static_cast<double>(pause_ns) * 1e-9;
 }
 
 void *
@@ -521,9 +561,18 @@ RuntimeStats
 Runtime::stats() const
 {
     RuntimeStats s;
-    s.hallocs = nHallocs_.load(std::memory_order_relaxed);
-    s.hfrees = nHfrees_.load(std::memory_order_relaxed);
-    s.hreallocs = nHreallocs_.load(std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> guard(threadMutex_);
+        s.hallocs = nHallocs_.load(std::memory_order_relaxed);
+        s.hfrees = nHfrees_.load(std::memory_order_relaxed);
+        s.hreallocs = nHreallocs_.load(std::memory_order_relaxed);
+        for (const auto &thread : threads_) {
+            s.hallocs += thread->hallocs.load(std::memory_order_relaxed);
+            s.hfrees += thread->hfrees.load(std::memory_order_relaxed);
+            s.hreallocs +=
+                thread->hreallocs.load(std::memory_order_relaxed);
+        }
+    }
     s.barriers = nBarriers_.load(std::memory_order_relaxed);
     s.faults = nFaults_.load(std::memory_order_relaxed);
     return s;

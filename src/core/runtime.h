@@ -12,6 +12,7 @@
 #ifndef ALASKA_CORE_RUNTIME_H
 #define ALASKA_CORE_RUNTIME_H
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -77,39 +78,44 @@ struct RuntimeConfig
 };
 
 /**
- * The set of handles found pinned during a barrier.
+ * The handles a barrier must not move.
  *
- * Backed by a bitmap sized from the handle-table watermark.
+ * A handle is pinned if some registered thread's pin frame holds it
+ * (the paper's stack pin sets) or if its entry carries an atomic pin
+ * count (pinned<T> under the Scoped discipline, ConcurrentPin,
+ * AtomicPin). Unification copies only the frame pins, into a small
+ * sorted vector, so building the set costs O(frame pins) and nothing
+ * in it is sized by the handle table. Atomic pins are read lazily by
+ * contains() from the entry itself, which a mover loads anyway to
+ * validate its candidate. With the world stopped that is at least as
+ * safe as a snapshot taken at unification: a pin taken after such a
+ * snapshot was invisible to it too.
  */
 class PinnedSet
 {
   public:
-    PinnedSet() = default;
-    explicit PinnedSet(uint32_t watermark)
-        : bits_((watermark + 63) / 64, 0), limit_(watermark)
-    {}
-
-    void
-    add(uint32_t id)
-    {
-        if (id < limit_)
-            bits_[id >> 6] |= (1ULL << (id & 63));
-    }
+    /** @param frame_pins handle IDs held by pin frames, in any order. */
+    PinnedSet(const HandleTable &table, std::vector<uint32_t> frame_pins);
 
     bool
     contains(uint32_t id) const
     {
-        if (id >= limit_)
-            return false;
-        return bits_[id >> 6] & (1ULL << (id & 63));
+        return table_->entry(id).atomicPinCount() > 0 ||
+               std::binary_search(framePins_.begin(), framePins_.end(),
+                                  id);
     }
 
-    /** Number of pinned handles. */
+    /**
+     * Number of pinned handles, frame and atomic. Cold: scans the
+     * handle table up to its watermark, so it is for tests and
+     * diagnostics, never for a barrier's move loop.
+     */
     size_t count() const;
 
   private:
-    std::vector<uint64_t> bits_;
-    uint32_t limit_ = 0;
+    const HandleTable *table_;
+    /** Frame-pinned IDs, sorted and unique. */
+    std::vector<uint32_t> framePins_;
 };
 
 /** Aggregate runtime statistics. */
@@ -204,9 +210,17 @@ class Runtime
      * every registered thread to reach a safepoint (or be in external
      * code), unifies all pin sets, and runs fn with the world stopped.
      * fn may move any object whose handle is not in the PinnedSet by
-     * updating its HTE.
+     * updating its HTE. Unification walks only the threads' pin frames
+     * (O(frame pins)); atomic pins are checked per candidate by
+     * PinnedSet::contains(), so a barrier costs what it moves, not
+     * what the handle table holds.
+     *
+     * @return the stopped-world time in seconds: from raising the
+     * barrier flag, through the safepoint wait, unification and fn,
+     * to lowering it. The barrier_pause_ns histogram records the same
+     * interval.
      */
-    void barrier(const std::function<void(const PinnedSet &)> &fn);
+    double barrier(const std::function<void(const PinnedSet &)> &fn);
 
     /** True while a barrier is pending or in progress. */
     static bool
@@ -431,7 +445,7 @@ class Runtime
     ThreadState *registerThread();
     void unregisterThread(ThreadState *state);
 
-    /** Collect the pinned set from all threads' pin frames. */
+    /** Collect the frame-pinned set from all threads' pin frames. */
     PinnedSet unifyPinSets();
 
     RuntimeConfig config_;
@@ -454,6 +468,11 @@ class Runtime
      */
     std::atomic<uint64_t> lastGraceEpoch_{0};
 
+    /**
+     * Allocation-API call totals of unregistered threads and of
+     * threads that have unregistered; registered threads count on
+     * their own ThreadState cells, which stats() adds in.
+     */
     std::atomic<uint64_t> nHallocs_{0};
     std::atomic<uint64_t> nHfrees_{0};
     std::atomic<uint64_t> nHreallocs_{0};

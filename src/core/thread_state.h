@@ -87,6 +87,16 @@ struct ThreadState
      * RMW per access.
      */
     std::atomic<uint64_t> accessEpoch{0};
+    /**
+     * Allocation-API call counts behind Runtime::stats(). Only the
+     * owner writes them, with a relaxed load and store rather than an
+     * RMW, so halloc/hfree touch no shared counter; readers sum them
+     * under the runtime's thread mutex, and unregistering folds them
+     * into the runtime's totals.
+     */
+    std::atomic<uint64_t> hallocs{0};
+    std::atomic<uint64_t> hfrees{0};
+    std::atomic<uint64_t> hreallocs{0};
     /** Statistics: how many times this thread parked in a barrier. */
     uint64_t parks = 0;
 

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -284,6 +286,40 @@ TEST(BatchedDefragTest, StatsReportPerBarrierAccounting)
     EXPECT_EQ(pass.totals().maxBarrierBytes, worst_bytes);
     EXPECT_LE(pass.totals().maxBarrierSec, pass.totals().measuredSec);
     EXPECT_GT(pass.totals().maxBarrierModeledSec, 0.0);
+}
+
+TEST(BatchedDefragTest, StepPauseCoversTheSafepointWait)
+{
+    // The pause a step reports is the whole stop, not just the move
+    // loop: a mutator that reaches its safepoint late holds the world
+    // stopped for that long, and the controller must see it.
+    constexpr auto delay = std::chrono::milliseconds(30);
+    HeapStack stack;
+    stack.fragment();
+
+    std::atomic<bool> registered{false};
+    std::thread straggler([&] {
+        ThreadRegistration reg(stack.runtime);
+        registered.store(true);
+        // Managed code that polls late: spin without a safepoint
+        // until the barrier is raised, then take `delay` to get there.
+        while (!Runtime::barrierPending()) {
+        }
+        std::this_thread::sleep_for(delay);
+        poll();
+    });
+    while (!registered.load()) {
+    }
+    const DefragStats s = stack.service.beginBatchedDefrag(SIZE_MAX)
+                              .step(SIZE_MAX);
+    straggler.join();
+
+    const double delay_sec =
+        std::chrono::duration<double>(delay).count();
+    EXPECT_EQ(s.barriers, 1u);
+    EXPECT_GT(s.movedBytes, 0u);
+    EXPECT_GE(s.measuredSec, delay_sec);
+    EXPECT_GE(s.maxBarrierSec, delay_sec);
 }
 
 } // namespace

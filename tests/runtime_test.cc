@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "api/hbox.h"
 #include "base/rng.h"
 #include "core/malloc_service.h"
 #include "core/pin.h"
@@ -130,6 +133,77 @@ TEST_F(RuntimeTest, StatsCount)
     EXPECT_EQ(s.hallocs, 1u);
     EXPECT_EQ(s.hreallocs, 1u);
     EXPECT_EQ(s.hfrees, 1u);
+}
+
+TEST_F(RuntimeTest, RegisteredThreadsCountOnTheirOwnCells)
+{
+    // Registered threads count on ThreadState cells; stats() must see
+    // them live, and keep them once the threads unregister.
+    constexpr int n_threads = 4;
+    constexpr uint64_t ops = 1000;
+    std::atomic<int> done{0};
+    std::atomic<bool> release{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < n_threads; t++) {
+        threads.emplace_back([&] {
+            ThreadRegistration reg(runtime_);
+            for (uint64_t i = 0; i < ops; i++) {
+                void *h = runtime_.halloc(16);
+                h = runtime_.hrealloc(h, 32);
+                runtime_.hfree(h);
+            }
+            done.fetch_add(1);
+            while (!release.load()) {
+            }
+        });
+    }
+    while (done.load() < n_threads) {
+    }
+    // Unregistered callers fall back to the runtime-wide counters.
+    runtime_.hfree(runtime_.halloc(8));
+
+    const uint64_t want = n_threads * ops;
+    RuntimeStats live = runtime_.stats();
+    EXPECT_EQ(live.hallocs, want + 1);
+    EXPECT_EQ(live.hreallocs, want);
+    EXPECT_EQ(live.hfrees, want + 1);
+
+    release.store(true);
+    for (auto &th : threads)
+        th.join();
+    const RuntimeStats after = runtime_.stats();
+    EXPECT_EQ(after.hallocs, live.hallocs);
+    EXPECT_EQ(after.hreallocs, live.hreallocs);
+    EXPECT_EQ(after.hfrees, live.hfrees);
+}
+
+TEST(RuntimeDeathTest, HcallocSizeOverflowFailsLoudly)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            MallocService service;
+            Runtime runtime(RuntimeConfig{.tableCapacity = 1u << 12});
+            runtime.attachService(&service);
+            // 2^62 * 8 wraps to 0 in size_t.
+            runtime.hcalloc(size_t{1} << 62, 8);
+        },
+        ::testing::ExitedWithCode(1), "overflow");
+}
+
+TEST(RuntimeDeathTest, HboxSizeOverflowFailsLoudly)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            MallocService service;
+            Runtime runtime(RuntimeConfig{.tableCapacity = 1u << 12});
+            runtime.attachService(&service);
+            ThreadRegistration reg(runtime);
+            // count * sizeof(T) wraps to 16 bytes.
+            hbox<uint64_t> box(runtime, (size_t{1} << 61) + 2);
+        },
+        ::testing::ExitedWithCode(1), "exceed the 4 GiB");
 }
 
 TEST_F(RuntimeTest, ObjectMovementIsOneStoreAwayFromAllAliases)
