@@ -10,9 +10,10 @@ cd "$(dirname "$0")/.."
 # TSAN mode (`scripts/check.sh --tsan`): build the concurrency suites
 # under ThreadSanitizer in a separate tree and run just them — the
 # suites that drive the epoch-scope / pin-handshake /
-# grace-deferred-reclaim protocol, the mesh/split path, and the
-# barrier/pin-set path end to end (the full suite under TSAN is slow
-# and mostly single-threaded). The
+# grace-deferred-reclaim protocol, the mesh/split path, the
+# barrier/pin-set path end to end, and the lock-free page-residency
+# bitmap under it (the full suite under TSAN is slow and mostly
+# single-threaded). The
 # intentional mark-window copy race is whitelisted in
 # base/speculative_copy.h; anything else TSAN reports is a real
 # protocol bug.
@@ -24,11 +25,13 @@ if [ "${1:-}" = "--tsan" ]; then
         --target telemetry_test --target mesh_runtime_test \
         --target defrag_equivalence_test --target policy_test \
         --target serve_test --target barrier_test --target pin_test \
-        --target swap_service_test
+        --target swap_service_test --target page_model_test \
+        --target address_space_test
     for t in concurrent_reloc_daemon_test handle_shard_stress_test \
              epoch_grace_test telemetry_test mesh_runtime_test \
              defrag_equivalence_test policy_test serve_test \
-             barrier_test pin_test swap_service_test; do
+             barrier_test pin_test swap_service_test page_model_test \
+             address_space_test; do
         ./build-tsan/"$t"
     done
     echo "tsan OK"

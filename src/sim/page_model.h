@@ -12,12 +12,20 @@
  * stays honest.
  *
  * Thread safety: touch(), discard(), and the queries may be called
- * concurrently — the resident set is striped over cache-line-padded
- * mutexes selected by page frame, so touches from threads working in
- * different heap regions rarely share a lock. This matters because the
- * sharded Anchorage service (anchorage/anchorage_service.h) drives
- * touches from every shard concurrently, and concurrent relocation
- * campaigns copy (and therefore touch) outside any heap lock.
+ * concurrently, and none of them takes a lock. The resident set is a
+ * bitmap of atomic words keyed by frame index, held in a lazily built
+ * radix (top -> mid -> 4 KiB leaf) whose nodes are installed by CAS.
+ * Touching a page that is already resident is one relaxed load — no
+ * lock and no atomic read-modify-write — which matters because every
+ * placement and every moved object touches its pages, from every
+ * Anchorage shard concurrently and from relocation campaigns that copy
+ * outside any heap lock. A first touch is one fetch_or; a discard is
+ * one fetch_and, issued only for bits that are set. A resident-page
+ * counter changes only on those 0->1 and 1->0 transitions, so rss()
+ * and residentPages() are O(1) and walk no container. While touches
+ * and discards of the same pages race, the count may be off by the
+ * pages of the calls in flight; it is clamped at zero, so it never
+ * wraps, and it is exact once the racing calls have returned.
  *
  * alias()/unalias() are also safe to call concurrently with the other
  * operations: the alias map lives behind its own mutex, and the
@@ -25,6 +33,10 @@
  * except meshing) stays a single relaxed-atomic load. A touch racing
  * an alias() may transiently keep the superseded frame resident; RSS
  * can briefly overcount by a page but never undercounts.
+ *
+ * The page size must be a power of two, and frame indices must fit the
+ * radix (2^37 frames: 512 TiB of address space at 4 KiB pages);
+ * violating either is fatal.
  */
 
 #ifndef ALASKA_SIM_PAGE_MODEL_H
@@ -35,7 +47,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace alaska
 {
@@ -44,7 +55,8 @@ namespace alaska
 class PageModel
 {
   public:
-    explicit PageModel(size_t page_size = 4096) : pageSize_(page_size) {}
+    explicit PageModel(size_t page_size = 4096);
+    ~PageModel();
 
     PageModel(const PageModel &) = delete;
     PageModel &operator=(const PageModel &) = delete;
@@ -87,14 +99,19 @@ class PageModel
     /** Physical frame address backing the page containing addr. */
     uint64_t frameAddrOf(uint64_t addr) const
     {
-        return frameOf(addr / pageSize_) * pageSize_;
+        return frameOf(addr >> pageShift_) << pageShift_;
     }
 
     /** Resident bytes (distinct physical frames times page size). */
-    size_t rss() const { return residentPages() * pageSize_; }
+    size_t rss() const { return residentPages() << pageShift_; }
 
     /** Number of distinct resident physical frames. */
-    size_t residentPages() const;
+    size_t residentPages() const
+    {
+        const int64_t pages =
+            residentPages_.load(std::memory_order_relaxed);
+        return pages < 0 ? 0 : static_cast<size_t>(pages);
+    }
 
     /** True iff the page containing addr is resident. */
     bool isResident(uint64_t addr) const;
@@ -103,44 +120,62 @@ class PageModel
     void clear();
 
   private:
-    /** Stripe count for the resident set; power of two. */
-    static constexpr uint64_t numStripes = 16;
+    /** Frame-index bits resolved by each radix level. */
+    static constexpr unsigned leafBits = 15;
+    static constexpr unsigned midBits = 11;
+    static constexpr unsigned topBits = 11;
+    /** Frame indices at or above 2^frameBits are out of range. */
+    static constexpr unsigned frameBits = leafBits + midBits + topBits;
 
-    /**
-     * One resident-set stripe, cache-line padded so concurrent touches
-     * from threads in different stripes never share a line.
-     */
-    struct alignas(64) Stripe
+    /** Residency bits for 2^leafBits consecutive frames (4 KiB). */
+    struct Leaf
     {
-        mutable std::mutex mutex;
-        std::unordered_set<uint64_t> resident;
+        std::atomic<uint64_t> words[(size_t{1} << leafBits) / 64];
     };
 
-    using AliasMap = std::unordered_map<uint64_t, uint64_t>;
-
-    Stripe &
-    stripeOf(uint64_t frame) const
+    struct Mid
     {
-        return stripes_[frame & (numStripes - 1)];
-    }
+        std::atomic<Leaf *> leaves[size_t{1} << midBits];
+    };
 
     /** Map a virtual page index to its physical frame index. */
     uint64_t frameOf(uint64_t vpage) const;
 
+    /**
+     * The leaf holding frame's bit. With create, missing nodes are
+     * built and installed by CAS; without, returns nullptr where no
+     * leaf exists (nothing in it was ever touched).
+     */
+    Leaf *leafOf(uint64_t frame, bool create) const;
+
+    /** Mark frames [first, last] resident. */
+    void setFrames(uint64_t first, uint64_t last);
+
+    /** Release frames [first, end). */
+    void clearFrames(uint64_t first, uint64_t end);
+
+    using AliasMap = std::unordered_map<uint64_t, uint64_t>;
+
+    // Read-mostly state every touch reads comes first; the counter
+    // every first touch and discard writes gets a cache line of its
+    // own, so its RMWs never invalidate the line touches load.
     size_t pageSize_;
-    mutable Stripe stripes_[numStripes];
+    unsigned pageShift_;
 
     /**
      * Virtual page -> physical frame, for aliased pages only, guarded
      * by aliasMutex_. aliasCount_ mirrors aliases_.size() so frameOf()
      * can skip the lock entirely while no aliases exist — the touch
      * fast path every non-meshing mode runs stays one atomic load.
-     * Lock order: aliasMutex_ before stripe mutexes; frameOf() drops
-     * aliasMutex_ before its caller takes a stripe lock, so the two
-     * never nest in the reverse direction.
      */
     std::atomic<size_t> aliasCount_{0};
-    mutable std::mutex aliasMutex_;
+
+    mutable std::atomic<Mid *> top_[size_t{1} << topBits] = {};
+
+    /** Set bits across all leaves; see the file comment. */
+    alignas(64) std::atomic<int64_t> residentPages_{0};
+
+    alignas(64) mutable std::mutex aliasMutex_;
     AliasMap aliases_;
 };
 
